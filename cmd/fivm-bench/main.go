@@ -371,7 +371,7 @@ func runE3(sc experiments.Scale) error {
 }
 
 func runE4(sc experiments.Scale) error {
-	fmt.Println("E4 — Figure 2b: ridge regression re-convergence per bulk")
+	fmt.Println("E4 — Figure 2b: exact ridge refit per bulk")
 	rows, err := experiments.E4Regression(sc)
 	if err != nil {
 		return err

@@ -5,7 +5,7 @@
 //
 //	Input               — database, query, feature kinds
 //	Model Selection     — MI ranking against a label with a threshold
-//	Regression          — ridge model re-converged from the COVAR matrix
+//	Regression          — ridge model solved exactly from the COVAR matrix
 //	Chow-Liu Tree       — MI matrix and the tree rooted at a chosen node
 //	Maintenance Strategy— the view tree and its M3 code
 //
@@ -176,8 +176,6 @@ func main() {
 	banner("Maintenance Strategy")
 	fmt.Println(an.M3())
 
-	var model *ml.RidgeModel
-	cfg := ml.DefaultRidgeConfig()
 	showTabs := func() {
 		// === Model Selection tab ===
 		banner("Model Selection")
@@ -198,13 +196,12 @@ func main() {
 		// === Regression tab === (driven by the separate COVAR engine,
 		// whose label stays continuous).
 		banner("Regression")
-		var sigma *ml.SigmaMatrix
-		model, sigma, err = anCov.Ridge(*label, model, cfg)
+		model, sigma, err := anCov.Ridge(*label, ml.RidgeConfig{})
 		if err != nil {
 			fmt.Printf("regression unavailable: %v\n", err)
 		} else {
-			fmt.Printf("ridge over %d one-hot columns, %d BGD iterations, train RMSE %.3f\n",
-				sigma.Dim(), model.Iterations, model.TrainRMSE(sigma))
+			fmt.Printf("ridge over %d one-hot columns, train RMSE %.3f\n",
+				sigma.Dim(), model.TrainRMSE(sigma))
 			fmt.Printf("θ0 = %+.4f\n", model.Intercept)
 		}
 

@@ -80,7 +80,7 @@ type Engine[V any] struct {
 	codec   ring.Codec[V]
 	clone   func(V) V
 	info    m3.RingInfo
-	publish func(prev Model) Model
+	publish func() Model
 }
 
 // EngineOptions configures NewEngine beyond the view tree itself. All
@@ -96,7 +96,7 @@ type EngineOptions[V any] struct {
 	M3 m3.RingInfo
 	// Publish builds the published Model; nil engines publish a
 	// ResultSummary.
-	Publish func(prev Model) Model
+	Publish func() Model
 }
 
 // NewEngine wraps an already-built view tree in the generic lifecycle.
@@ -313,13 +313,14 @@ func (e *Engine[V]) PartitionKey(rel string) ([]int, bool) {
 	return e.tree.PartitionKey(rel)
 }
 
-// PublishModel builds an immutable Model of the current result, warm-
-// starting from prev (the previously published model, nil on the first
-// publish) where the engine supports it. It reads live engine state, so
-// a serving layer must call it from its single writer.
+// PublishModel builds an immutable Model of the current result. The
+// model is a function of the current result alone; prev (the previously
+// published model) is ignored and kept only so existing implementations
+// of the interface stay valid. It reads live engine state, so a serving
+// layer must call it from its single writer.
 func (e *Engine[V]) PublishModel(prev Model) Model {
 	if e.publish != nil {
-		return e.publish(prev)
+		return e.publish()
 	}
 	return &ResultSummary{EngineKind: e.kind, Groups: e.tree.Result().Len()}
 }

@@ -67,7 +67,7 @@ func NewCountEngine(q *query.Query, order *vo.Order) (*CountEngine, error) {
 	e.Engine = NewEngine(KindCount, tree, EngineOptions[int64]{
 		Codec:   ring.IntCodec{},
 		M3:      m3.RingInfo{Name: "long"},
-		Publish: func(Model) Model { return tableModel(e.Engine, func(v int64) float64 { return float64(v) }) },
+		Publish: func() Model { return tableModel(e.Engine, func(v int64) float64 { return float64(v) }) },
 	})
 	return e, nil
 }
@@ -141,7 +141,7 @@ func NewFloatEngine(q *query.Query, order *vo.Order) (*FloatEngine, error) {
 	e.Engine = NewEngine(KindFloat, tree, EngineOptions[float64]{
 		Codec: ring.FloatCodec{},
 		M3:    m3.RingInfo{Name: "double"},
-		Publish: func(Model) Model {
+		Publish: func() Model {
 			return tableModel(e.Engine, func(v float64) float64 { return v })
 		},
 	})
@@ -206,7 +206,7 @@ func NewCovarEngine(rels []RelationSpec, attrs []string, order *vo.Order) (*Cova
 				return -1
 			},
 		},
-		Publish: func(Model) Model {
+		Publish: func() Model {
 			return &CovarModel{EngineKind: KindCovar, Attrs: cp, Payload: e.Payload().Clone()}
 		},
 	})

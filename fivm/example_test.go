@@ -71,9 +71,7 @@ func ExampleAnalysis_Ridge() {
 	if err := an.Init(map[string][]value.Tuple{"T": rows}); err != nil {
 		log.Fatal(err)
 	}
-	model, sigma, err := an.Ridge("y", nil, ml.RidgeConfig{
-		Lambda: 1e-9, LearningRate: 0.1, MaxIters: 20000, Tolerance: 1e-12, Normalize: true,
-	})
+	model, sigma, err := an.Ridge("y", ml.RidgeConfig{Lambda: 1e-9})
 	if err != nil {
 		log.Fatal(err)
 	}

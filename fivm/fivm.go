@@ -43,7 +43,7 @@ type AnalysisConfig struct {
 	// fitting in published models. Explicit Ridge calls are unaffected.
 	Label string
 	// Ridge configures the published model's solver; the zero value
-	// means ml.DefaultRidgeConfig().
+	// selects the default regularization.
 	Ridge ml.RidgeConfig
 }
 
@@ -111,6 +111,9 @@ func NewAnalysis(cfg AnalysisConfig) (*Analysis, error) {
 	if cfg.Label != "" && !labelOK {
 		return nil, fmt.Errorf("fivm: label %s is not a configured feature", cfg.Label)
 	}
+	if err := cfg.Ridge.Validate(); err != nil {
+		return nil, err
+	}
 	tree, err := view.New(view.Spec[*ring.RelCovar]{
 		Ring:      rg,
 		Order:     cfg.Order,
@@ -119,10 +122,6 @@ func NewAnalysis(cfg AnalysisConfig) (*Analysis, error) {
 	})
 	if err != nil {
 		return nil, err
-	}
-	ridgeCfg := cfg.Ridge
-	if ridgeCfg == (ml.RidgeConfig{}) {
-		ridgeCfg = ml.DefaultRidgeConfig()
 	}
 	idx := make(map[string]int, len(cfg.Features))
 	for i, f := range cfg.Features {
@@ -133,7 +132,7 @@ func NewAnalysis(cfg AnalysisConfig) (*Analysis, error) {
 		feats:     feats,
 		specs:     append([]FeatureSpec(nil), cfg.Features...),
 		label:     cfg.Label,
-		ridgeCfg:  ridgeCfg,
+		ridgeCfg:  cfg.Ridge,
 		binWidths: binWidths,
 	}
 	a.Engine = NewEngine(KindAnalysis, tree, EngineOptions[*ring.RelCovar]{
@@ -154,9 +153,9 @@ func NewAnalysis(cfg AnalysisConfig) (*Analysis, error) {
 }
 
 // publishModel builds the immutable AnalysisModel: a deep payload clone
-// plus — when a label is configured — a ridge refit warm-started from
-// the previously published optimum.
-func (a *Analysis) publishModel(prev Model) Model {
+// plus — when a label is configured — an exact ridge fit of that
+// payload.
+func (a *Analysis) publishModel() Model {
 	// Features and BinWidths are copied too, upholding the model's
 	// every-field-is-a-deep-copy contract — sharing the engine's own
 	// slice/map would turn any future mutation of them into a data race
@@ -174,13 +173,7 @@ func (a *Analysis) publishModel(prev Model) Model {
 	if a.label == "" {
 		return m
 	}
-	var warm *ml.RidgeModel
-	if p, ok := prev.(*AnalysisModel); ok && p != nil && p.Model != nil {
-		// Warm-start from the previously published optimum, on a clone
-		// so the published model is never mutated.
-		warm = p.Model.Clone()
-	}
-	model, sigma, err := RidgeFromPayload(m.Payload, m.Features, a.label, warm, a.ridgeCfg)
+	model, sigma, err := RidgeFromPayload(m.Payload, m.Features, a.label, a.ridgeCfg)
 	if err != nil {
 		m.FitErr = err.Error()
 	} else {
@@ -235,18 +228,17 @@ func (a *Analysis) ChowLiu(root string) (*ml.ChowLiuTree, error) {
 	return ml.ChowLiu(mi, root)
 }
 
-// Ridge fits (or re-converges, when model is non-nil) a ridge linear
-// regression predicting label from the other features — the Regression
-// tab. It returns the model and the sigma matrix it was fit against.
-func (a *Analysis) Ridge(label string, model *ml.RidgeModel, cfg ml.RidgeConfig) (*ml.RidgeModel, *ml.SigmaMatrix, error) {
-	return RidgeFromPayload(a.Payload(), a.feats, label, model, cfg)
+// Ridge fits a ridge linear regression predicting label from the
+// other features — the Regression tab. It returns the model and the
+// sigma matrix it was fit against.
+func (a *Analysis) Ridge(label string, cfg ml.RidgeConfig) (*ml.RidgeModel, *ml.SigmaMatrix, error) {
+	return RidgeFromPayload(a.Payload(), a.feats, label, cfg)
 }
 
-// RidgeFromPayload fits (or re-converges, when model is non-nil) a
-// ridge regression against any COVAR payload — Analysis.Ridge uses the
-// live payload; the serving layer uses immutable snapshot clones. The
-// passed model is mutated in place when its dimensions still match.
-func RidgeFromPayload(payload *ring.RelCovar, feats []ml.Feature, label string, model *ml.RidgeModel, cfg ml.RidgeConfig) (*ml.RidgeModel, *ml.SigmaMatrix, error) {
+// RidgeFromPayload fits a ridge regression against any COVAR payload —
+// Analysis.Ridge uses the live payload; the serving layer uses
+// immutable snapshot clones.
+func RidgeFromPayload(payload *ring.RelCovar, feats []ml.Feature, label string, cfg ml.RidgeConfig) (*ml.RidgeModel, *ml.SigmaMatrix, error) {
 	sigma, err := ml.SigmaFromRelCovar(payload, feats)
 	if err != nil {
 		return nil, nil, err
@@ -255,14 +247,8 @@ func RidgeFromPayload(payload *ring.RelCovar, feats []ml.Feature, label string, 
 	if len(cols) != 1 {
 		return nil, nil, fmt.Errorf("fivm: label %s must be a single continuous column (got %d columns)", label, len(cols))
 	}
-	if model == nil || len(model.Weights) != sigma.Dim() {
-		// Category set drifted (columns appeared/disappeared): restart.
-		// A production system would remap surviving columns; restarting
-		// preserves correctness and matches the demo behaviour.
-		model = ml.NewRidge(sigma, cols[0])
-	}
-	model.LabelCol = cols[0]
-	if err := model.Fit(sigma, cfg); err != nil {
+	model, err := ml.FitRidge(sigma, cols[0], cfg)
+	if err != nil {
 		return nil, nil, err
 	}
 	return model, sigma, nil

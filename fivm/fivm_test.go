@@ -2,7 +2,9 @@ package fivm_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -97,24 +99,84 @@ func TestAnalysisRidge(t *testing.T) {
 	if err := an.Init(toyData()); err != nil {
 		t.Fatal(err)
 	}
-	model, sigma, err := an.Ridge("D", nil, ml.DefaultRidgeConfig())
+	model, sigma, err := an.Ridge("D", ml.RidgeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if model == nil || sigma == nil {
 		t.Fatal("nil results")
 	}
-	// Warm-start path reuses the model.
-	model2, _, err := an.Ridge("D", model, ml.DefaultRidgeConfig())
+	// A categorical label must be rejected.
+	if _, _, err := an.Ridge("C", ml.RidgeConfig{}); err == nil {
+		t.Error("categorical label accepted")
+	}
+}
+
+func modelJSON(t *testing.T, m fivm.Model) string {
+	t.Helper()
+	res, err := m.ResultJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if model2 != model {
-		t.Error("warm start rebuilt the model despite stable columns")
+	b, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A categorical label must be rejected.
-	if _, _, err := an.Ridge("C", nil, ml.DefaultRidgeConfig()); err == nil {
-		t.Error("categorical label accepted")
+	return string(b)
+}
+
+// TestAnalysisModelIsHistoryIndependent threads prev through a chain of
+// publishes and requires the last model to render byte-identically to a
+// fresh publish of the same engine: the served fit is a function of the
+// payload alone, not of the publish history.
+func TestAnalysisModelIsHistoryIndependent(t *testing.T) {
+	cfg := toyConfig()
+	cfg.Label = "D"
+	an, err := fivm.NewAnalysis(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	var prev fivm.Model
+	for b := 0; b < 12; b++ {
+		var ups []view.Update
+		for i := 0; i < 20; i++ {
+			a := rng.Intn(8)
+			ups = append(ups,
+				view.Update{Rel: "R", Tuple: value.T(a, rng.Intn(100)), Mult: 1},
+				view.Update{Rel: "S", Tuple: value.T(a, rng.Intn(3), rng.Intn(1000)), Mult: 1})
+		}
+		if err := an.Apply(ups); err != nil {
+			t.Fatal(err)
+		}
+		prev = an.PublishModel(prev)
+	}
+	if chained, fresh := modelJSON(t, prev), modelJSON(t, an.PublishModel(nil)); chained != fresh {
+		t.Errorf("model after a publish chain differs from a fresh publish:\nchain: %s\nfresh: %s", chained, fresh)
+	}
+}
+
+// TestAnalysisFitErrOnOverflow feeds values whose squares overflow: the
+// published model must carry a fit error, not NaN weights.
+func TestAnalysisFitErrOnOverflow(t *testing.T) {
+	cfg := toyConfig()
+	cfg.Label = "D"
+	an, err := fivm.NewAnalysis(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := an.Init(map[string][]value.Tuple{
+		"R": {value.T("a1", 1), value.T("a2", 2)},
+		"S": {value.T("a1", 1, 1e300), value.T("a2", 2, -1e300)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	m := an.PublishModel(nil).(*fivm.AnalysisModel)
+	if m.FitErr == "" || m.Model != nil {
+		t.Fatalf("FitErr = %q, model = %+v; want a fit error and no model", m.FitErr, m.Model)
+	}
+	if _, err := m.ResultJSON(); err == nil {
+		t.Error("ResultJSON rendered a failed fit")
 	}
 }
 
@@ -198,6 +260,18 @@ func TestAnalysisConfigErrors(t *testing.T) {
 	c.Features = []fivm.FeatureSpec{{Attr: "B"}, {Attr: "B"}}
 	if _, err := fivm.NewAnalysis(c); err == nil {
 		t.Error("duplicate feature accepted")
+	}
+
+	for _, lambda := range []float64{-1, math.NaN()} {
+		c = base
+		c.Label = "D"
+		c.Ridge = ml.RidgeConfig{Lambda: lambda}
+		if _, err := fivm.NewAnalysis(c); err == nil {
+			t.Errorf("NewAnalysis accepted lambda %v", lambda)
+		}
+		if _, err := fivm.Open(fivm.Config{Relations: c.Relations, Features: c.Features, Label: "D", Ridge: c.Ridge}); err == nil {
+			t.Errorf("Open accepted lambda %v", lambda)
+		}
 	}
 }
 

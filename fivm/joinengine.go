@@ -82,7 +82,7 @@ func NewJoinEngine(rels []RelationSpec, order *vo.Order) (*JoinEngine, error) {
 		Codec: ring.RelValCodec{},
 		Clone: ring.RelVal.Clone,
 		M3:    m3.RingInfo{Name: "relation"},
-		Publish: func(Model) Model {
+		Publish: func() Model {
 			frozen := e.Engine.ClonePayload()
 			return &TableModel{
 				EngineKind: KindJoin,

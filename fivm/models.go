@@ -105,8 +105,6 @@ func (m *AnalysisModel) ResultJSON() (any, error) {
 		"count":      m.Count(),
 		"intercept":  m.Model.Intercept,
 		"weights":    weights,
-		"converged":  m.Model.Converged,
-		"iterations": m.Model.Iterations,
 		"train_rmse": m.Model.TrainRMSE(m.Sigma),
 	}, nil
 }
@@ -285,7 +283,7 @@ func (m *CovarModel) ResultJSON() (any, error) {
 }
 
 // Predict always fails: COVAR engines publish statistics, not a fitted
-// predictor (fit one with ml.NewRidge against Sigma).
+// predictor (fit one with ml.FitRidge against a SigmaMatrix).
 func (m *CovarModel) Predict(map[string]value.Value) (float64, error) {
 	return 0, fmt.Errorf("fivm: %s engine serves no predictive model", m.EngineKind)
 }

@@ -104,7 +104,7 @@ func NewRangedCovarEngine(rels []RelationSpec, attrs []string, order *vo.Order) 
 				return -1
 			},
 		},
-		Publish: func(Model) Model {
+		Publish: func() Model {
 			m := &CovarModel{EngineKind: KindRangedCovar, Attrs: e.Attrs}
 			p, err := e.Covar()
 			if err != nil {

@@ -2,10 +2,13 @@ package cluster_test
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"repro/fivm"
 	"repro/fivm/client"
@@ -280,6 +283,56 @@ func TestShardMapMatchesEnginePartition(t *testing.T) {
 	for a := 0; a < 20; a++ {
 		if m.Owner(value.T(a, 0)) != m.Owner(value.T(a, 99)) {
 			t.Fatalf("tuples with equal join key A=%d landed on different shards", a)
+		}
+	}
+}
+
+// TestRouterSurvivesMalformedPartial points a router at a fake worker
+// whose /v1/partial body is a valid header followed by a result
+// attribute count of 2^62. Each merged read must fail promptly with a
+// 503; a failed merge must not wedge the merger for the next read.
+func TestRouterSurvivesMalformedPartial(t *testing.T) {
+	cfg := engineConfigs()["count"]
+	// A real worker's partial supplies the header: magic, version and
+	// the length-prefixed codec tag.
+	good, err := client.New(startWorker(t, cfg).URL, client.WithRetries(0)).Partial(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tagLen, n := binary.Uvarint(good.Data[9:])
+	header := good.Data[:9+n+int(tagLen)]
+	body := binary.AppendUvarint(append([]byte(nil), header...), 1<<62)
+	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/partial" {
+			http.NotFound(w, r)
+			return
+		}
+		w.Header().Set("X-Fivm-Applied", "0")
+		w.Write(body)
+	}))
+	t.Cleanup(fake.Close)
+	rt, err := cluster.New(cluster.Config{ShardURLs: []string{fake.URL}, Engine: cfg, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(rt.Handler())
+	t.Cleanup(func() {
+		if t.Failed() {
+			return // a wedged handler never returns, so Close would block
+		}
+		hs.Close()
+		rt.Close()
+	})
+	hc := &http.Client{Timeout: 5 * time.Second}
+	for i := 1; i <= 2; i++ {
+		resp, err := hc.Get(hs.URL + "/v1/model")
+		if err != nil {
+			t.Errorf("read %d: %v", i, err)
+			continue
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Errorf("read %d: status %d, want 503", i, resp.StatusCode)
 		}
 	}
 }

@@ -540,9 +540,13 @@ func (rt *Router) mergedModel(ctx context.Context, allowStale bool) (fivm.Model,
 	for i, b := range bodies {
 		readers[i] = bytes.NewReader(b)
 	}
-	rt.mergerMu.Lock()
-	model, err := rt.merger.MergePartials(readers)
-	rt.mergerMu.Unlock()
+	// Unlock by defer: a panic while merging must not leave every later
+	// merged read blocked on the mutex.
+	model, err := func() (fivm.Model, error) {
+		rt.mergerMu.Lock()
+		defer rt.mergerMu.Unlock()
+		return rt.merger.MergePartials(readers)
+	}()
 	rt.mergeLat.Observe(time.Since(t0).Seconds())
 	if err != nil {
 		return nil, info, fmt.Errorf("cluster: merging partials: %w", err)

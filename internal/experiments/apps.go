@@ -83,15 +83,13 @@ func E3ModelSelection(sc Scale, threshold float64) ([]AppResult, error) {
 }
 
 // E4Regression reproduces Figure 2b: per bulk, maintain the COVAR matrix
-// and re-converge the warm-started ridge model.
+// and refit the ridge model exactly from it.
 func E4Regression(sc Scale) ([]AppResult, error) {
 	s := newRetailerSetup(sc, 1)
 	an, err := retailerAnalysis(s, false)
 	if err != nil {
 		return nil, err
 	}
-	cfg := ml.DefaultRidgeConfig()
-	var model *ml.RidgeModel
 	ups := s.stream(sc.StreamLen, 0.2, 41)
 	var out []AppResult
 	for i := 0; i < len(ups); i += sc.BatchSize {
@@ -102,15 +100,14 @@ func E4Regression(sc Scale) ([]AppResult, error) {
 		}
 		maintain := time.Since(t0)
 		t1 := time.Now()
-		var sigma *ml.SigmaMatrix
-		model, sigma, err = an.Ridge("inventoryunits", model, cfg)
+		model, sigma, err := an.Ridge("inventoryunits", ml.RidgeConfig{})
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, AppResult{
 			Bulk: len(out) + 1, Updates: j - i,
 			MaintainDur: maintain, AppDur: time.Since(t1),
-			Artifact: fmt.Sprintf("iters=%d rmse=%.2f dim=%d", model.Iterations, model.TrainRMSE(sigma), sigma.Dim()),
+			Artifact: fmt.Sprintf("rmse=%.2f dim=%d", model.TrainRMSE(sigma), sigma.Dim()),
 		})
 	}
 	return out, nil

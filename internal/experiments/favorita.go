@@ -114,8 +114,6 @@ func E8Favorita(sc Scale) ([]Throughput, []AppResult, error) {
 
 	// Application loop per bulk.
 	var apps []AppResult
-	var model *ml.RidgeModel
-	cfg := ml.DefaultRidgeConfig()
 	st3, err := dataset.NewStream(s.db, dataset.StreamConfig{
 		Relation: "Sales", Total: sc.StreamLen, DeleteRatio: 0.25, Seed: 63,
 	})
@@ -137,8 +135,7 @@ func E8Favorita(sc Scale) ([]Throughput, []AppResult, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		var sigma *ml.SigmaMatrix
-		model, sigma, err = anCov.Ridge("unit_sales", model, cfg)
+		model, sigma, err := anCov.Ridge("unit_sales", ml.RidgeConfig{})
 		if err != nil {
 			return nil, nil, err
 		}

@@ -1,6 +1,6 @@
 // Package ml implements the machine-learning applications the paper
 // demonstrates on top of maintained ring payloads: ridge linear
-// regression re-converged by batch gradient descent from a COVAR matrix,
+// regression solved exactly from a maintained COVAR matrix,
 // pairwise mutual information from maintained count tables, Chow-Liu
 // trees, and MI-threshold model selection.
 package ml

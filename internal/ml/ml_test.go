@@ -30,108 +30,153 @@ func buildSigmaFromRows(rows [][]float64, names []string) *SigmaMatrix {
 	return m
 }
 
-func TestRidgeRecoversLinearModel(t *testing.T) {
-	// y = 3 + 2*x1 - 1.5*x2 exactly; ridge with tiny lambda must recover
-	// the coefficients closely.
+// linearFixture is an exact linear data set; the label is the last
+// column.
+type linearFixture struct {
+	rows    [][]float64
+	names   []string
+	weights []float64 // per non-label column, in order
+	bias    float64
+}
+
+// noiselessFixtures returns a two-feature and a one-feature data set.
+func noiselessFixtures() map[string]linearFixture {
 	rng := rand.New(rand.NewSource(1))
-	var rows [][]float64
+	var two [][]float64
 	for i := 0; i < 500; i++ {
 		x1 := rng.Float64()*10 - 5
 		x2 := rng.Float64()*4 - 2
-		y := 3 + 2*x1 - 1.5*x2
-		rows = append(rows, []float64{x1, x2, y})
+		two = append(two, []float64{x1, x2, 3 + 2*x1 - 1.5*x2})
 	}
-	sigma := buildSigmaFromRows(rows, []string{"x1", "x2", "y"})
-	model := NewRidge(sigma, 2)
-	cfg := RidgeConfig{Lambda: 1e-9, LearningRate: 0.1, MaxIters: 50_000, Tolerance: 1e-12, Normalize: true}
-	if err := model.Fit(sigma, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(model.Weights[0]-2) > 1e-3 {
-		t.Errorf("θ1 = %v, want 2", model.Weights[0])
-	}
-	if math.Abs(model.Weights[1]+1.5) > 1e-3 {
-		t.Errorf("θ2 = %v, want -1.5", model.Weights[1])
-	}
-	if math.Abs(model.Intercept-3) > 1e-2 {
-		t.Errorf("θ0 = %v, want 3", model.Intercept)
-	}
-	if rmse := model.TrainRMSE(sigma); rmse > 1e-2 {
-		t.Errorf("RMSE = %v on noiseless data", rmse)
-	}
-}
-
-func TestRidgeWithoutNormalization(t *testing.T) {
-	// Well-scaled data must also converge un-normalized.
-	rng := rand.New(rand.NewSource(2))
-	var rows [][]float64
+	rng = rand.New(rand.NewSource(2))
+	var one [][]float64
 	for i := 0; i < 200; i++ {
 		x := rng.Float64()*2 - 1
-		rows = append(rows, []float64{x, 1 + 0.5*x})
+		one = append(one, []float64{x, 1 + 0.5*x})
 	}
-	sigma := buildSigmaFromRows(rows, []string{"x", "y"})
-	model := NewRidge(sigma, 1)
-	cfg := RidgeConfig{Lambda: 1e-9, LearningRate: 0.2, MaxIters: 50_000, Tolerance: 1e-12}
-	if err := model.Fit(sigma, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(model.Weights[0]-0.5) > 1e-3 || math.Abs(model.Intercept-1) > 1e-3 {
-		t.Errorf("θ = (%v, %v), want (1, 0.5)", model.Intercept, model.Weights[0])
+	return map[string]linearFixture{
+		"two_features": {two, []string{"x1", "x2", "y"}, []float64{2, -1.5}, 3},
+		"one_feature":  {one, []string{"x", "y"}, []float64{0.5}, 1},
 	}
 }
 
-func TestRidgeWarmStartFasterThanCold(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
+func TestRidgeRecoversLinearModel(t *testing.T) {
+	// Ridge with a tiny lambda must recover exact coefficients closely.
+	for name, fx := range noiselessFixtures() {
+		t.Run(name, func(t *testing.T) {
+			sigma := buildSigmaFromRows(fx.rows, fx.names)
+			label := len(fx.names) - 1
+			model, err := FitRidge(sigma, label, RidgeConfig{Lambda: 1e-9})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, w := range fx.weights {
+				if math.Abs(model.Weights[i]-w) > 1e-6 {
+					t.Errorf("θ%d = %v, want %v", i+1, model.Weights[i], w)
+				}
+			}
+			if math.Abs(model.Intercept-fx.bias) > 1e-6 {
+				t.Errorf("θ0 = %v, want %v", model.Intercept, fx.bias)
+			}
+			if rmse := model.TrainRMSE(sigma); rmse > 1e-6 {
+				t.Errorf("RMSE = %v on noiseless data", rmse)
+			}
+		})
+	}
+}
+
+// collinearRows is a noisy raw-scale data set whose one-hot columns
+// c0..c2 sum to one (collinear with the intercept) next to a constant
+// column k.
+func collinearRows() ([][]float64, []string) {
+	rng := rand.New(rand.NewSource(4))
 	var rows [][]float64
-	for i := 0; i < 300; i++ {
-		x := rng.Float64() * 10
-		rows = append(rows, []float64{x, 2*x + 1 + rng.NormFloat64()*0.1})
+	for i := 0; i < 400; i++ {
+		x := rng.Float64() * 100
+		c := rng.Intn(3)
+		oh := []float64{0, 0, 0}
+		oh[c] = 1
+		y := 5 + 0.3*x + []float64{3, 0, -2}[c] + rng.NormFloat64()
+		rows = append(rows, []float64{x, oh[0], oh[1], oh[2], 7, y})
 	}
-	sigma := buildSigmaFromRows(rows, []string{"x", "y"})
-	cfg := DefaultRidgeConfig()
+	return rows, []string{"x", "c0", "c1", "c2", "k", "y"}
+}
 
-	cold := NewRidge(sigma, 1)
-	if err := cold.Fit(sigma, cfg); err != nil {
+func TestRidgeCollinearOneHot(t *testing.T) {
+	rows, names := collinearRows()
+	sigma := buildSigmaFromRows(rows, names)
+	const y = 5
+	model, err := FitRidge(sigma, y, RidgeConfig{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	coldIters := cold.Iterations
-
-	// Perturb the data slightly and refit warm.
-	rows = append(rows, []float64{5, 11.1})
-	sigma2 := buildSigmaFromRows(rows, []string{"x", "y"})
-	warm := cold
-	if err := warm.Fit(sigma2, cfg); err != nil {
-		t.Fatal(err)
+	// Stationarity of the objective in raw space: with σ_i² the column
+	// variance, every weight satisfies
+	//   1/N (Σ_j Σ_ij θ_j + θ0 s_i − Σ_iy) + λ σ_i² θ_i = 0
+	// and the intercept 1/N (N θ0 + Σ_j s_j θ_j − s_y) = 0.
+	const lambda = 1e-3
+	n, N := sigma.Dim(), sigma.Count
+	check := func(what string, terms ...float64) {
+		var sum, scale float64
+		for _, v := range terms {
+			sum += v
+			scale += math.Abs(v)
+		}
+		if math.Abs(sum) > 1e-9*scale {
+			t.Errorf("%s: residual %g exceeds 1e-9 of %g", what, sum, scale)
+		}
 	}
-	if warm.Iterations > coldIters {
-		t.Errorf("warm refit took %d iters, cold fit %d — warm start is not helping", warm.Iterations, coldIters)
+	bias := []float64{N * model.Intercept, -sigma.Sum[y]}
+	for i := 0; i < n; i++ {
+		if i == y {
+			continue
+		}
+		bias = append(bias, sigma.Sum[i]*model.Weights[i])
+		terms := []float64{model.Intercept * sigma.Sum[i], -sigma.At(i, y)}
+		for j := 0; j < n; j++ {
+			if j != y {
+				terms = append(terms, sigma.At(i, j)*model.Weights[j])
+			}
+		}
+		mu := sigma.Sum[i] / N
+		terms = append(terms, N*lambda*(sigma.At(i, i)/N-mu*mu)*model.Weights[i])
+		check("column "+names[i], terms...)
+	}
+	check("intercept", bias...)
+	// The exact optimum is no worse than the gradient-descent solver it
+	// replaced, which stopped at RMSE 0.908488141068296 on this data.
+	if rmse := model.TrainRMSE(sigma); rmse > 0.908488141068296 {
+		t.Errorf("RMSE = %.15g, above the iterative solver's 0.908488141068296", rmse)
+	}
+	if w := model.Weights[4]; math.Abs(w) > 1e-9 {
+		t.Errorf("constant column weight = %v, want 0", w)
 	}
 }
 
 func TestRidgeErrors(t *testing.T) {
-	sigma := buildSigmaFromRows([][]float64{{1, 2}}, []string{"x", "y"})
-	m := NewRidge(sigma, 1)
+	sigma := buildSigmaFromRows([][]float64{{1, 2}, {2, 3}}, []string{"x", "y"})
 	empty := &SigmaMatrix{n: 2, Count: 0, Sum: make([]float64, 2), Data: make([]float64, 4)}
-	if err := m.Fit(empty, DefaultRidgeConfig()); err == nil {
-		t.Error("fit on empty training set accepted")
-	}
-	wrong := NewRidge(sigma, 1)
-	wrong.Weights = wrong.Weights[:1]
-	if err := wrong.Fit(sigma, DefaultRidgeConfig()); err == nil {
-		t.Error("dimension mismatch accepted")
-	}
-	bad := NewRidge(sigma, 1)
-	bad.LabelCol = 5
-	if err := bad.Fit(sigma, DefaultRidgeConfig()); err == nil {
-		t.Error("label out of range accepted")
+	overflow := buildSigmaFromRows([][]float64{{1e300, 2}, {-1e300, 3}}, []string{"x", "y"})
+	for name, tc := range map[string]struct {
+		m     *SigmaMatrix
+		label int
+		cfg   RidgeConfig
+	}{
+		"empty training set":   {empty, 1, RidgeConfig{}},
+		"label out of range":   {sigma, 5, RidgeConfig{}},
+		"negative lambda":      {sigma, 1, RidgeConfig{Lambda: -1}},
+		"NaN lambda":           {sigma, 1, RidgeConfig{Lambda: math.NaN()}},
+		"overflowing sums":     {overflow, 1, RidgeConfig{}},
+		"infinite label stats": {buildSigmaFromRows([][]float64{{1, 1e300}, {2, -1e300}}, []string{"x", "y"}), 1, RidgeConfig{}},
+	} {
+		if m, err := FitRidge(tc.m, tc.label, tc.cfg); err == nil {
+			t.Errorf("%s: accepted, model %+v", name, m)
+		}
 	}
 }
 
 func TestRidgePredict(t *testing.T) {
-	sigma := buildSigmaFromRows([][]float64{{1, 2}, {2, 4}}, []string{"x", "y"})
-	m := NewRidge(sigma, 1)
-	m.Intercept = 1
-	m.Weights[0] = 2
+	m := &RidgeModel{Intercept: 1, Weights: []float64{2, 0}, LabelCol: 1}
 	if got := m.Predict([]float64{3, 0}); got != 7 {
 		t.Errorf("Predict = %v, want 7", got)
 	}

@@ -15,241 +15,126 @@ type RidgeModel struct {
 	Weights []float64
 	// LabelCol is the column index of the label in the SigmaMatrix.
 	LabelCol int
-	// Iterations is the number of gradient steps the last Fit run took.
-	Iterations int
-	// Converged reports whether the gradient norm dropped below the
-	// tolerance before the iteration cap.
-	Converged bool
 }
 
-// RidgeConfig configures the batch-gradient-descent solver.
+// RidgeConfig configures the ridge solver.
 type RidgeConfig struct {
-	// Lambda is the L2 regularization strength (applied to weights, not
-	// the intercept).
+	// Lambda is the L2 regularization strength on the standardized
+	// weights (the intercept is not penalized). The zero value means
+	// 1e-3; it must not be negative or NaN.
 	Lambda float64
-	// LearningRate is the initial step size; the solver backtracks when
-	// a step increases the objective.
-	LearningRate float64
-	// MaxIters caps gradient steps per Fit call.
-	MaxIters int
-	// Tolerance stops iteration when the gradient's max-norm falls
-	// below it.
-	Tolerance float64
-	// Normalize standardizes feature columns (zero mean, unit variance)
-	// inside the solver using only the sigma statistics, then maps the
-	// parameters back. This conditions gradient descent on raw-scale
-	// data; constant columns are left unscaled.
-	Normalize bool
 }
 
-// DefaultRidgeConfig returns a reasonable solver configuration.
-func DefaultRidgeConfig() RidgeConfig {
-	return RidgeConfig{Lambda: 1e-3, LearningRate: 0.1, MaxIters: 5000, Tolerance: 1e-8, Normalize: true}
-}
-
-// standardized derives the sigma statistics of the transformed features
-// x'_i = (x_i − μ_i)/σ_i from raw sigma statistics alone:
-//
-//	Σ'_ij = (Σ_ij − N μ_i μ_j) / (σ_i σ_j)
-//	s'_i  = 0
-//
-// The label column is standardized too, so the solver works on a
-// well-conditioned correlation-like matrix throughout.
-func standardized(m *SigmaMatrix) (*SigmaMatrix, []float64, []float64) {
-	n := m.Dim()
-	mu := make([]float64, n)
-	sigma := make([]float64, n)
-	for i := 0; i < n; i++ {
-		mu[i] = m.Sum[i] / m.Count
-		v := m.At(i, i)/m.Count - mu[i]*mu[i]
-		if v > 1e-12 {
-			sigma[i] = math.Sqrt(v)
-		} else {
-			sigma[i] = 1 // constant column: leave unscaled
-		}
-	}
-	out := &SigmaMatrix{n: n, Cols: m.Cols, Count: m.Count, Sum: make([]float64, n), Data: make([]float64, n*n)}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			out.Data[i*n+j] = (m.At(i, j) - m.Count*mu[i]*mu[j]) / (sigma[i] * sigma[j])
-		}
-	}
-	return out, mu, sigma
-}
-
-// Clone returns a deep copy of the model, so a warm-started refit can
-// run against a copy while the original stays published to readers.
-func (r *RidgeModel) Clone() *RidgeModel {
-	if r == nil {
-		return nil
-	}
-	cp := *r
-	cp.Weights = append([]float64(nil), r.Weights...)
-	return &cp
-}
-
-// NewRidge returns a zero-initialized model for the given matrix and
-// label column.
-func NewRidge(m *SigmaMatrix, labelCol int) *RidgeModel {
-	return &RidgeModel{Weights: make([]float64, m.Dim()), LabelCol: labelCol}
-}
-
-// Fit runs batch gradient descent on the least-squares objective
-//
-//	J(θ) = 1/(2N) Σ (θ0 + θᵀx − y)² + λ/2 ‖θ‖²
-//
-// using only the COVAR statistics in m — the training data itself is
-// never materialized, which is the paper's central point: the gradient
-//
-//	∇θ J = 1/N (Σθ + θ0·s − Σ_y) + λθ
-//
-// needs only the count, the column sums s, and the matrix Σ of
-// SUM(x_i·x_j). Fit resumes from the model's current parameters, so
-// after a delta batch the solver re-converges from the previous optimum
-// (warm start), exactly like the demo's Regression tab.
-func (r *RidgeModel) Fit(m *SigmaMatrix, cfg RidgeConfig) error {
-	if m.Count <= 0 {
-		return fmt.Errorf("ml: cannot fit on an empty training set")
-	}
-	if len(r.Weights) != m.Dim() {
-		return fmt.Errorf("ml: model has %d weights, matrix has %d columns", len(r.Weights), m.Dim())
-	}
-	if cfg.Normalize {
-		sm, mu, sd := standardized(m)
-		y := r.LabelCol
-		if y < 0 || y >= m.Dim() {
-			return fmt.Errorf("ml: label column %d out of range", y)
-		}
-		// Map the warm-start parameters into standardized space:
-		// θ'_i = θ_i σ_i/σ_y, θ0' = (θ0 + Σθ_i μ_i − μ_y)/σ_y.
-		shift := r.Intercept - mu[y]
-		for i := range r.Weights {
-			if i == y {
-				continue
-			}
-			shift += r.Weights[i] * mu[i]
-			r.Weights[i] *= sd[i] / sd[y]
-		}
-		r.Intercept = shift / sd[y]
-		inner := cfg
-		inner.Normalize = false
-		err := r.Fit(sm, inner)
-		// Map back even on error so the model stays in raw space.
-		back := r.Intercept * sd[y]
-		for i := range r.Weights {
-			if i == y {
-				continue
-			}
-			r.Weights[i] *= sd[y] / sd[i]
-			back -= r.Weights[i] * mu[i]
-		}
-		r.Intercept = back + mu[y]
-		return err
-	}
-	n := m.Dim()
-	y := r.LabelCol
-	if y < 0 || y >= n {
-		return fmt.Errorf("ml: label column %d out of range", y)
-	}
-	invN := 1 / m.Count
-	lr := cfg.LearningRate
-	grad := make([]float64, n)
-	var gradIntercept float64
-
-	objective := func() float64 {
-		// J = 1/(2N) [ θᵀΣθ + 2θ0 θᵀs + N θ0² − 2θᵀΣ_y − 2θ0 s_y + Σ_yy ]
-		// + λ/2 ‖θ‖² ; constant Σ_yy included for proper backtracking.
-		var quad, lin float64
-		for i := 0; i < n; i++ {
-			if i == y {
-				continue
-			}
-			wi := r.Weights[i]
-			for j := 0; j < n; j++ {
-				if j == y {
-					continue
-				}
-				quad += wi * r.Weights[j] * m.At(i, j)
-			}
-			lin += wi * (r.Intercept*m.Sum[i] - m.At(i, y))
-		}
-		obj := 0.5*invN*(quad+m.At(y, y)) + invN*lin
-		obj += 0.5 * invN * (m.Count*r.Intercept*r.Intercept - 2*r.Intercept*m.Sum[y])
-		var reg float64
-		for i, w := range r.Weights {
-			if i != y {
-				reg += w * w
-			}
-		}
-		return obj + 0.5*cfg.Lambda*reg
-	}
-
-	computeGrad := func() float64 {
-		maxAbs := 0.0
-		for i := 0; i < n; i++ {
-			if i == y {
-				grad[i] = 0
-				continue
-			}
-			g := 0.0
-			for j := 0; j < n; j++ {
-				if j == y {
-					continue
-				}
-				g += m.At(i, j) * r.Weights[j]
-			}
-			g += r.Intercept*m.Sum[i] - m.At(i, y)
-			g = g*invN + cfg.Lambda*r.Weights[i]
-			grad[i] = g
-			if a := math.Abs(g); a > maxAbs {
-				maxAbs = a
-			}
-		}
-		gi := r.Intercept*m.Count - m.Sum[y]
-		for j := 0; j < n; j++ {
-			if j != y {
-				gi += m.Sum[j] * r.Weights[j]
-			}
-		}
-		gradIntercept = gi * invN
-		if a := math.Abs(gradIntercept); a > maxAbs {
-			maxAbs = a
-		}
-		return maxAbs
-	}
-
-	r.Converged = false
-	r.Iterations = 0
-	prevObj := objective()
-	for it := 0; it < cfg.MaxIters; it++ {
-		r.Iterations = it + 1
-		if computeGrad() < cfg.Tolerance {
-			r.Converged = true
-			return nil
-		}
-		// Backtracking line search on the step size.
-		for {
-			for i := range r.Weights {
-				r.Weights[i] -= lr * grad[i]
-			}
-			r.Intercept -= lr * gradIntercept
-			obj := objective()
-			if obj <= prevObj || lr < 1e-15 {
-				if obj < prevObj {
-					lr *= 1.05 // gentle growth after successful steps
-				}
-				prevObj = obj
-				break
-			}
-			// Undo and halve.
-			for i := range r.Weights {
-				r.Weights[i] += lr * grad[i]
-			}
-			r.Intercept += lr * gradIntercept
-			lr /= 2
-		}
+// Validate rejects a regularization strength the solver cannot use.
+func (c RidgeConfig) Validate() error {
+	if c.Lambda < 0 || math.IsNaN(c.Lambda) || math.IsInf(c.Lambda, 0) {
+		return fmt.Errorf("ml: ridge lambda %v must be finite and non-negative", c.Lambda)
 	}
 	return nil
+}
+
+// FitRidge solves the ridge objective over standardized columns
+//
+//	J(θ') = 1/(2N) Σ (θ'ᵀx' − y')² + λ/2 ‖θ'‖²,  x'_i = (x_i − μ_i)/σ_i
+//
+// exactly, using only the COVAR statistics in m — the training data
+// itself is never materialized, which is the paper's central point.
+// The standardized Gram matrix is the correlation matrix
+//
+//	C_ij = (Σ_ij − N μ_i μ_j) / (N σ_i σ_j)
+//
+// so θ' solves (C_xx + λI) θ' = C_xy, factored once by Cholesky. The
+// result is mapped back to raw space with an unpenalized intercept
+// θ0 = μ_y − Σ θ_i μ_i. Constant columns keep σ = 1 (their centered
+// values are zero, so their weights are zero). The fit is a function of
+// m alone: identical statistics always give identical weights.
+func FitRidge(m *SigmaMatrix, labelCol int, cfg RidgeConfig) (*RidgeModel, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	lambda := cfg.Lambda
+	if lambda == 0 {
+		lambda = 1e-3
+	}
+	if !(m.Count > 0) {
+		return nil, fmt.Errorf("ml: cannot fit on an empty training set")
+	}
+	n := m.Dim()
+	if labelCol < 0 || labelCol >= n {
+		return nil, fmt.Errorf("ml: label column %d out of range", labelCol)
+	}
+	mu := make([]float64, n)
+	sd := make([]float64, n)
+	for i := 0; i < n; i++ {
+		mu[i] = m.Sum[i] / m.Count
+		sd[i] = 1
+		if v := m.At(i, i)/m.Count - mu[i]*mu[i]; v > 1e-12 {
+			sd[i] = math.Sqrt(v)
+		}
+	}
+	corr := func(i, j int) float64 {
+		return (m.At(i, j) - m.Count*mu[i]*mu[j]) / (m.Count * sd[i] * sd[j])
+	}
+	// cols maps solver rows to the non-label columns of m.
+	cols := make([]int, 0, n-1)
+	for i := 0; i < n; i++ {
+		if i != labelCol {
+			cols = append(cols, i)
+		}
+	}
+	k := len(cols)
+	a := make([]float64, k*k) // lower triangle, factored in place into L
+	b := make([]float64, k)
+	for r, i := range cols {
+		for c, j := range cols[:r+1] {
+			a[r*k+c] = corr(i, j)
+		}
+		a[r*k+r] += lambda
+		b[r] = corr(i, labelCol)
+	}
+	for j := 0; j < k; j++ {
+		d := a[j*k+j]
+		for p := 0; p < j; p++ {
+			d -= a[j*k+p] * a[j*k+p]
+		}
+		if !(d > 0) {
+			return nil, fmt.Errorf("ml: ridge system is not positive definite at column %s (pivot %v)", m.Cols[cols[j]].Label(), d)
+		}
+		d = math.Sqrt(d)
+		a[j*k+j] = d
+		for r := j + 1; r < k; r++ {
+			s := a[r*k+j]
+			for p := 0; p < j; p++ {
+				s -= a[r*k+p] * a[j*k+p]
+			}
+			a[r*k+j] = s / d
+		}
+	}
+	// Forward (L z = b) then backward (Lᵀ θ' = z) substitution, in b.
+	for r := 0; r < k; r++ {
+		for p := 0; p < r; p++ {
+			b[r] -= a[r*k+p] * b[p]
+		}
+		b[r] /= a[r*k+r]
+	}
+	for r := k - 1; r >= 0; r-- {
+		for p := r + 1; p < k; p++ {
+			b[r] -= a[p*k+r] * b[p]
+		}
+		b[r] /= a[r*k+r]
+	}
+	model := &RidgeModel{Weights: make([]float64, n), LabelCol: labelCol, Intercept: mu[labelCol]}
+	for r, i := range cols {
+		w := b[r] * sd[labelCol] / sd[i]
+		model.Weights[i] = w
+		model.Intercept -= w * mu[i]
+	}
+	for _, w := range append([]float64{model.Intercept}, model.Weights...) {
+		if math.IsNaN(w) || math.IsInf(w, 0) {
+			return nil, fmt.Errorf("ml: ridge fit is not finite (overflowing sigma statistics?)")
+		}
+	}
+	return model, nil
 }
 
 // Predict evaluates the model on an expanded feature vector x (the

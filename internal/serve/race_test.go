@@ -122,16 +122,15 @@ func TestConcurrentIngestMatchesReplay(t *testing.T) {
 			fm.Payload, replay.Payload())
 	}
 
-	// Cold-fit both sigmas with identical config: deterministic gradient
-	// descent over equal payloads must agree.
-	cfg := ml.DefaultRidgeConfig()
-	wantModel, _, err := replay.Ridge("B", nil, cfg)
+	// The served fit is a function of the payload alone, so it must
+	// match a fresh fit of the replay's equal payload.
+	wantModel, _, err := replay.Ridge("B", ml.RidgeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotModel, _, err := fivm.RidgeFromPayload(fm.Payload, fm.Features, "B", nil, cfg)
-	if err != nil {
-		t.Fatal(err)
+	gotModel := fm.Model
+	if gotModel == nil {
+		t.Fatalf("served model failed to fit: %s", fm.FitErr)
 	}
 	if math.Abs(gotModel.Intercept-wantModel.Intercept) > 1e-9 {
 		t.Fatalf("intercept %v vs replay %v", gotModel.Intercept, wantModel.Intercept)

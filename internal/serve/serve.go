@@ -35,8 +35,8 @@ type Maintainable interface {
 	BuildDelta(rel string, ups []view.Update) (fivm.Delta, error)
 	// ApplyBuilt applies a delta produced by BuildDelta.
 	ApplyBuilt(rel string, d fivm.Delta) error
-	// PublishModel builds an immutable model of the current result,
-	// warm-starting from the previously published one (nil at first).
+	// PublishModel builds an immutable model of the current result;
+	// the server passes nil for prev, which no engine reads.
 	PublishModel(prev fivm.Model) fivm.Model
 	// Stats exposes the engine's maintenance counters.
 	Stats() view.Stats

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -92,6 +94,54 @@ func TestIngestWaitReflectsInSnapshot(t *testing.T) {
 	if st.Ingested != 110 || st.Applied != 110 {
 		t.Fatalf("stats = %+v, want Ingested=Applied=110", st)
 	}
+}
+
+// TestRestoredModelMatchesServed persists the engine behind a server
+// that published once per batch, restores it into a fresh server, and
+// requires the restored model to render exactly like the served one.
+func TestRestoredModelMatchesServed(t *testing.T) {
+	an := testAnalysis(t)
+	srv, err := New(an, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ups := seedUpdates(200, 7)
+	for i := 0; i < len(ups); i += 10 {
+		ingestWait(t, srv, ups[i:min(i+10, len(ups))])
+	}
+	served := snapshotJSON(t, srv)
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := an.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	restored := testAnalysis(t)
+	if err := restored.ReadSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	srv2, err := New(restored, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+	if got := snapshotJSON(t, srv2); got != served {
+		t.Errorf("restored model differs from the served one:\nrestored: %s\nserved:   %s", got, served)
+	}
+}
+
+func snapshotJSON(t *testing.T, srv *Server) string {
+	t.Helper()
+	res, err := srv.Snapshot().Model.ResultJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 func TestSnapshotIsImmutable(t *testing.T) {

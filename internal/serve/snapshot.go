@@ -39,14 +39,10 @@ func (s *Server) publish() {
 	t0 := time.Now()
 	s.nSnapshots++
 	s.dirty = false
-	var prev fivm.Model
-	if p := s.snap.Load(); p != nil {
-		prev = p.Model
-	}
 	ms := &Snapshot{
 		Version: s.nSnapshots,
 		Kind:    s.eng.Kind(),
-		Model:   s.eng.PublishModel(prev),
+		Model:   s.eng.PublishModel(nil),
 		Stats: Stats{
 			Ingested:    s.ingested.Load(),
 			Applied:     s.nApplied,

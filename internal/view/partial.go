@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/relation"
 	"repro/internal/ring"
@@ -102,15 +103,19 @@ func (t *Tree[V]) ReadPartial(r io.Reader, codec ring.Codec[V]) (*relation.Map[V
 	if err != nil {
 		return nil, err
 	}
+	// Check the count before allocating: it is untrusted input.
+	if want := t.result.Schema().Len(); nAttrs != uint64(want) {
+		return nil, fmt.Errorf("view: partial declares %d result attributes, merger has %d", nAttrs, want)
+	}
 	attrs := make([]string, nAttrs)
 	for i := range attrs {
 		if attrs[i], err = readString(br); err != nil {
 			return nil, err
 		}
 	}
-	schema := value.NewSchema(attrs...)
-	if !schema.Equal(t.result.Schema()) {
-		return nil, fmt.Errorf("view: partial result schema %v, merger has %v", attrs, t.result.Schema().Attrs())
+	schema := t.result.Schema()
+	if !slices.Equal(attrs, schema.Attrs()) {
+		return nil, fmt.Errorf("view: partial result schema %v, merger has %v", attrs, schema.Attrs())
 	}
 	nTuples, err := readUvarint(br)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/relation"
 	"repro/internal/ring"
@@ -144,13 +145,17 @@ func (t *Tree[V]) ReadSnapshot(r io.Reader, codec ring.Codec[V]) error {
 		if err != nil {
 			return err
 		}
+		// Check the count before allocating: it is untrusted input.
+		if nAttrs != uint64(src.schema.Len()) {
+			return fmt.Errorf("view: snapshot declares %d attributes for %s, tree has %d", nAttrs, name, src.schema.Len())
+		}
 		attrs := make([]string, nAttrs)
 		for j := range attrs {
 			if attrs[j], err = readString(br); err != nil {
 				return err
 			}
 		}
-		if !value.NewSchema(attrs...).Equal(src.schema) {
+		if !slices.Equal(attrs, src.schema.Attrs()) {
 			return fmt.Errorf("view: snapshot schema %v for %s, tree has %v", attrs, name, src.schema)
 		}
 		nTuples, err := readUvarint(br)
@@ -243,9 +248,16 @@ func readString(r *bufio.Reader) (string, error) {
 	if n > 1<<30 {
 		return "", fmt.Errorf("view: string length %d exceeds limit", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
+	// Grow the buffer in bounded steps as bytes arrive, so a forged
+	// length cannot force a large allocation up front.
+	buf := make([]byte, min(n, 1<<16))
+	for read := 0; ; {
+		if _, err := io.ReadFull(r, buf[read:]); err != nil {
+			return "", err
+		}
+		if read = len(buf); read == int(n) {
+			return string(buf), nil
+		}
+		buf = append(buf, make([]byte, min(int(n)-read, 1<<16))...)
 	}
-	return string(buf), nil
 }
